@@ -7,8 +7,12 @@ all: build
 build:
 	$(GO) build ./...
 
+# perfbench is its own module compiled against this one's packages, so the
+# root ./... does not reach it; vet it too so an API change that breaks
+# the benchmark driver fails here.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -80,9 +84,9 @@ bench-smoke: build
 	$(GO) run ./cmd/kfbench -run recovery -quick -json /tmp/BENCH_recovery_smoke.json
 	$(GO) run ./cmd/kfbench -run migrate -quick -json /tmp/BENCH_migrate_smoke.json
 
-# The pre-merge gate: vet, build, the full test suite under the race
-# detector (includes the chaos suite), then the short chaos pass alone to
-# keep its deadline honest.
+# The pre-merge gate: vet (this module and perfbench), build, the full
+# test suite under the race detector (includes the chaos suite), then the
+# short chaos pass alone to keep its deadline honest.
 check: vet build race chaos
 
 clean:

@@ -222,12 +222,16 @@ func TestChaosDurableDeterminism(t *testing.T) {
 // quarantine with K fallback writes, the warm reload pushes exactly K
 // keys into the adopted heap — not the whole store.
 func TestChaosDurableResyncDelta(t *testing.T) {
+	for _, p := range kvProtos {
+		t.Run(p.name, func(t *testing.T) { testResyncDelta(t, p) })
+	}
+}
+
+func testResyncDelta(t *testing.T, p kvProto) {
 	const preload = 64
 	const delta = 5
-	cfg := memcached.DefaultConfig(workload.Mix{GetPct: 50})
-	cfg.Preload = false
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	mc, err := memcached.NewSupervised(cfg, 1, supervisor.Tuning{
+	mc, err := p.open(kvKnobs{seed: 7}, supervisor.Tuning{
 		BackoffBase: time.Millisecond,
 		BackoffMax:  8 * time.Millisecond,
 		ProbeRuns:   1,
@@ -241,8 +245,8 @@ func TestChaosDurableResyncDelta(t *testing.T) {
 
 	keyOf := func(i int) []byte { return workload.FormatKey(uint64(i+1), memcached.KeySize) }
 	for i := 0; i < preload; i++ {
-		frame := memcached.EncodeSet(keyOf(i), workload.FormatValue(uint64(i+1), cfg.ValueSize))
-		if reply, _, _ := mc.Execute(0, frame); len(reply) != 1 || reply[0] != 'S' {
+		frame := p.encodeSet(keyOf(i), workload.FormatValue(uint64(i+1), kvValueSize))
+		if reply, _, _ := mc.Execute(0, frame); !bytes.Equal(reply, p.setReply) {
 			t.Fatalf("SET %d failed: %q", i, reply)
 		}
 	}
@@ -253,7 +257,7 @@ func TestChaosDurableResyncDelta(t *testing.T) {
 	}
 	// K writes acknowledged on the fallback path while the heap is out.
 	for i := 0; i < delta; i++ {
-		frame := memcached.EncodeSet(keyOf(i), workload.FormatValue(uint64(i+1)*7, cfg.ValueSize))
+		frame := p.encodeSet(keyOf(i), workload.FormatValue(uint64(i+1)*7, kvValueSize))
 		if _, _, offloaded := mc.Execute(0, frame); offloaded {
 			t.Fatalf("quarantined SET %d claimed the offload path", i)
 		}
@@ -261,8 +265,8 @@ func TestChaosDurableResyncDelta(t *testing.T) {
 
 	clk.Advance(10 * time.Millisecond)
 	// First request reloads warm and resyncs; ProbeRuns=1 closes the circuit.
-	frame := memcached.EncodeGet(keyOf(0))
-	if reply, _, _ := mc.Execute(0, frame); len(reply) < 1 || reply[0] != 'V' {
+	want0 := workload.FormatValue(7, kvValueSize)
+	if reply, _, _ := mc.Execute(0, p.encodeGet(keyOf(0))); !bytes.Equal(reply, p.hitReply(want0)) {
 		t.Fatalf("post-reload GET: %q", reply)
 	}
 	st := sup.Stats()
@@ -278,13 +282,97 @@ func TestChaosDurableResyncDelta(t *testing.T) {
 	}
 	// The updated values are served from the adopted heap on the offload path.
 	for i := 0; i < delta; i++ {
-		reply, _, offloaded := mc.Execute(0, memcached.EncodeGet(keyOf(i)))
-		want := workload.FormatValue(uint64(i+1)*7, cfg.ValueSize)
-		if len(reply) < 1 || reply[0] != 'V' || !bytes.Equal(reply[1:], want) {
+		reply, _, offloaded := mc.Execute(0, p.encodeGet(keyOf(i)))
+		want := workload.FormatValue(uint64(i+1)*7, kvValueSize)
+		if !bytes.Equal(reply, p.hitReply(want)) {
 			t.Fatalf("GET %d after warm resync: %q", i, reply)
 		}
 		if !offloaded {
 			t.Fatalf("GET %d not offloaded after recovery", i)
 		}
+	}
+}
+
+// TestChaosDurableDeletedKey pins the delete contract: a dirty key deleted
+// from the durable store behind the front end reads as a miss — before a
+// reload and after a warm one — even though the adopted heap still holds
+// its old value. A dirty key the store still holds is replayed as usual.
+func TestChaosDurableDeletedKey(t *testing.T) {
+	for _, p := range kvProtos {
+		t.Run(p.name, func(t *testing.T) { testDeletedKey(t, p) })
+	}
+}
+
+func testDeletedKey(t *testing.T, p kvProto) {
+	st, _, err := durable.Open(durable.NewMemDir(nil), durable.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	mc, err := p.open(kvKnobs{seed: 7, store: st}, supervisor.Tuning{
+		BackoffBase: time.Millisecond,
+		BackoffMax:  8 * time.Millisecond,
+		ProbeRuns:   1,
+		Now:         clk.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mc.Close)
+	sup := mc.Supervisor()
+
+	gone := workload.FormatKey(1, memcached.KeySize)
+	kept := workload.FormatKey(2, memcached.KeySize)
+	val := func(v uint64) []byte { return workload.FormatValue(v, kvValueSize) }
+	set := func(key, value []byte) {
+		t.Helper()
+		reply, _, offloaded := mc.Execute(0, p.encodeSet(key, value))
+		if !bytes.Equal(reply, p.setReply) || !offloaded {
+			t.Fatalf("SET %s: reply %q offloaded %v", key, reply, offloaded)
+		}
+	}
+	get := func(key []byte) []byte {
+		t.Helper()
+		reply, _, _ := mc.Execute(0, p.encodeGet(key))
+		return append([]byte(nil), reply...)
+	}
+	wantMiss := func(when string) {
+		t.Helper()
+		if reply := get(gone); !bytes.Equal(reply, p.missReply) {
+			t.Fatalf("%s: GET of the deleted key = %q, want miss %q", when, reply, p.missReply)
+		}
+	}
+
+	set(gone, val(10))
+	set(kept, val(20))
+	mc.FallbackSet(gone, val(11))
+	mc.FallbackSet(kept, val(21))
+	if reply := get(gone); !bytes.Equal(reply, p.hitReply(val(11))) {
+		t.Fatalf("dirty GET not corrected against the store: %q", reply)
+	}
+	st.Delete(gone)
+	wantMiss("before reload")
+
+	if !sup.Quarantine("maintenance") {
+		t.Fatal("Quarantine refused on a healthy supervisor")
+	}
+	clk.Advance(10 * time.Millisecond)
+	if reply := get(kept); !bytes.Equal(reply, p.hitReply(val(21))) {
+		t.Fatalf("post-reload GET of the kept key: %q", reply)
+	}
+	stats := sup.Stats()
+	if stats.WarmReloads != 1 || stats.LastInit.ResyncOps != 1 {
+		t.Fatalf("warm reloads %d resync ops %d, want 1/1 (only the kept key replays)",
+			stats.WarmReloads, stats.LastInit.ResyncOps)
+	}
+	wantMiss("after warm reload")
+	wantMiss("second GET after warm reload")
+
+	// A fresh SET makes the key live again, served from the heap.
+	set(gone, val(12))
+	reply, _, offloaded := mc.Execute(0, p.encodeGet(gone))
+	if !bytes.Equal(reply, p.hitReply(val(12))) || !offloaded {
+		t.Fatalf("GET after re-SET: %q offloaded %v", reply, offloaded)
 	}
 }

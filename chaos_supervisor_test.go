@@ -1,5 +1,6 @@
 // Supervisor chaos: inject a deterministic fault burst into the supervised
-// Memcached offload and walk the whole self-healing lifecycle — degrade,
+// KV front end (Memcached and Redis codecs) and walk the whole
+// self-healing lifecycle — degrade,
 // quarantine (audited heap teardown), backoff, reload with resync,
 // half-open probing, closed circuit — asserting the paper's recovery
 // invariants after every transition and that the same seed reproduces the
@@ -8,11 +9,15 @@ package kflex_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"kflex/internal/apps/memcached"
+	"kflex/internal/apps/redis"
+	"kflex/internal/apps/supervised"
+	"kflex/internal/durable"
 	"kflex/internal/faultinject"
 	"kflex/internal/supervisor"
 	"kflex/internal/workload"
@@ -25,6 +30,78 @@ type fakeClock struct{ now time.Time }
 func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
+// kvKnobs are the chaos settings a scenario builds its front end with.
+type kvKnobs struct {
+	seed      int64
+	plan      *faultinject.Plan // nil: no faults; else LocalCancel is on
+	threshold uint64            // CancelThreshold
+	store     *durable.Store    // nil: the in-memory store
+}
+
+// kvProto is one wire codec of the supervised KV front end, so each
+// scenario runs through both protocols.
+type kvProto struct {
+	name                string
+	open                func(k kvKnobs, tuning supervisor.Tuning) (*supervised.FrontEnd, error)
+	encodeGet           func(key []byte) []byte
+	encodeSet           func(key, value []byte) []byte
+	setReply, missReply []byte
+	hitReply            func(value []byte) []byte
+}
+
+// kvValueSize is both protocols' value size.
+const kvValueSize = memcached.ValueSize
+
+var mcProto = kvProto{
+	name: "memcached",
+	open: func(k kvKnobs, tuning supervisor.Tuning) (*supervised.FrontEnd, error) {
+		cfg := memcached.DefaultConfig(workload.Mix{GetPct: 50})
+		cfg.Seed = k.seed
+		cfg.Preload = false
+		cfg.FaultPlan = k.plan
+		cfg.LocalCancel = k.plan != nil
+		cfg.CancelThreshold = k.threshold
+		cfg.Durable = k.store
+		mc, err := memcached.NewSupervised(cfg, 1, tuning)
+		if err != nil {
+			return nil, err
+		}
+		return mc.FrontEnd, nil
+	},
+	encodeGet: memcached.EncodeGet,
+	encodeSet: memcached.EncodeSet,
+	setReply:  []byte("S"),
+	missReply: []byte("M"),
+	hitReply:  func(value []byte) []byte { return append([]byte("V"), value...) },
+}
+
+var redisProto = kvProto{
+	name: "redis",
+	open: func(k kvKnobs, tuning supervisor.Tuning) (*supervised.FrontEnd, error) {
+		cfg := redis.DefaultConfig(workload.Mix{GetPct: 50})
+		cfg.Seed = k.seed
+		cfg.Preload = false
+		cfg.FaultPlan = k.plan
+		cfg.LocalCancel = k.plan != nil
+		cfg.CancelThreshold = k.threshold
+		cfg.Durable = k.store
+		r, err := redis.NewSupervised(cfg, 1, tuning)
+		if err != nil {
+			return nil, err
+		}
+		return r.FrontEnd, nil
+	},
+	encodeGet: func(key []byte) []byte { return redis.EncodeCommand([]byte("GET"), key) },
+	encodeSet: func(key, value []byte) []byte { return redis.EncodeCommand([]byte("SET"), key, value) },
+	setReply:  []byte("+OK\r\n"),
+	missReply: []byte("$-1\r\n"),
+	hitReply: func(value []byte) []byte {
+		return []byte(fmt.Sprintf("$%d\r\n%s\r\n", len(value), value))
+	},
+}
+
+var kvProtos = []kvProto{mcProto, redisProto}
+
 type supervisorRun struct {
 	trace     []supervisor.Transition
 	audits    []supervisor.AuditReport
@@ -33,21 +110,20 @@ type supervisorRun struct {
 	fallbacks uint64
 }
 
-// runSupervisorScenario drives one full fault-burst/recovery cycle and
-// asserts the lifecycle invariants along the way.
+// runSupervisorScenario is runSupervisorProto on the Memcached codec.
 func runSupervisorScenario(t *testing.T, seed int64) supervisorRun {
+	return runSupervisorProto(t, mcProto, seed)
+}
+
+// runSupervisorProto drives one full fault-burst/recovery cycle and
+// asserts the lifecycle invariants along the way.
+func runSupervisorProto(t *testing.T, p kvProto, seed int64) supervisorRun {
 	t.Helper()
 	// Every helper call fails while armed: each admitted request is
 	// cancelled deterministically.
 	plan := faultinject.NewPlan(seed).SetRate(faultinject.HelperErr, 1.0)
-	cfg := memcached.DefaultConfig(workload.Mix{GetPct: 50})
-	cfg.Seed = seed
-	cfg.Preload = false
-	cfg.FaultPlan = plan
-	cfg.LocalCancel = true
-	cfg.CancelThreshold = 3
 	clk := &fakeClock{now: time.Unix(0, 0)}
-	mc, err := memcached.NewSupervised(cfg, 1, supervisor.Tuning{
+	mc, err := p.open(kvKnobs{seed: seed, plan: plan, threshold: 3}, supervisor.Tuning{
 		BackoffBase:         time.Millisecond,
 		BackoffMax:          8 * time.Millisecond,
 		ProbeRuns:           4,
@@ -63,17 +139,17 @@ func runSupervisorScenario(t *testing.T, seed int64) supervisorRun {
 
 	const keys = 16
 	keyOf := func(i int) []byte { return workload.FormatKey(uint64(i+1), memcached.KeySize) }
-	valOf := func(i int) []byte { return workload.FormatValue(uint64(i+1), cfg.ValueSize) }
+	valOf := func(i int) []byte { return workload.FormatValue(uint64(i+1), kvValueSize) }
 	set := func(i int) bool {
-		reply, _, offloaded := mc.Execute(0, memcached.EncodeSet(keyOf(i), valOf(i)))
-		if len(reply) != 1 || reply[0] != 'S' {
+		reply, _, offloaded := mc.Execute(0, p.encodeSet(keyOf(i), valOf(i)))
+		if !bytes.Equal(reply, p.setReply) {
 			t.Fatalf("SET %d: reply %q", i, reply)
 		}
 		return offloaded
 	}
 	get := func(i int) bool {
-		reply, _, offloaded := mc.Execute(0, memcached.EncodeGet(keyOf(i)))
-		if len(reply) < 1 || reply[0] != 'V' || !bytes.Equal(reply[1:], valOf(i)) {
+		reply, _, offloaded := mc.Execute(0, p.encodeGet(keyOf(i)))
+		if !bytes.Equal(reply, p.hitReply(valOf(i))) {
 			t.Fatalf("GET %d: reply %q", i, reply)
 		}
 		return offloaded
@@ -158,22 +234,26 @@ func runSupervisorScenario(t *testing.T, seed int64) supervisorRun {
 }
 
 func TestChaosSupervisorRecovery(t *testing.T) {
-	run := runSupervisorScenario(t, 404)
-	// The trace must walk the full machine in order.
-	wantEdges := []struct{ from, to supervisor.State }{
-		{supervisor.Healthy, supervisor.Degraded},
-		{supervisor.Degraded, supervisor.Quarantined},
-		{supervisor.Quarantined, supervisor.Probing},
-		{supervisor.Probing, supervisor.Healthy},
-	}
-	if len(run.trace) != len(wantEdges) {
-		t.Fatalf("trace has %d transitions, want %d: %+v", len(run.trace), len(wantEdges), run.trace)
-	}
-	for i, e := range wantEdges {
-		if run.trace[i].From != e.from || run.trace[i].To != e.to {
-			t.Fatalf("transition %d = %v→%v, want %v→%v", i,
-				run.trace[i].From, run.trace[i].To, e.from, e.to)
-		}
+	for _, p := range kvProtos {
+		t.Run(p.name, func(t *testing.T) {
+			run := runSupervisorProto(t, p, 404)
+			// The trace must walk the full machine in order.
+			wantEdges := []struct{ from, to supervisor.State }{
+				{supervisor.Healthy, supervisor.Degraded},
+				{supervisor.Degraded, supervisor.Quarantined},
+				{supervisor.Quarantined, supervisor.Probing},
+				{supervisor.Probing, supervisor.Healthy},
+			}
+			if len(run.trace) != len(wantEdges) {
+				t.Fatalf("trace has %d transitions, want %d: %+v", len(run.trace), len(wantEdges), run.trace)
+			}
+			for i, e := range wantEdges {
+				if run.trace[i].From != e.from || run.trace[i].To != e.to {
+					t.Fatalf("transition %d = %v→%v, want %v→%v", i,
+						run.trace[i].From, run.trace[i].To, e.from, e.to)
+				}
+			}
+		})
 	}
 }
 

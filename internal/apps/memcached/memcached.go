@@ -23,11 +23,10 @@ package memcached
 
 import (
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"kflex"
+	"kflex/internal/apps/supervised"
 	"kflex/internal/durable"
 	"kflex/internal/faultinject"
 	"kflex/internal/kernel"
@@ -47,12 +46,6 @@ const (
 
 // --- Wire protocol ---------------------------------------------------------------
 
-// Request ops on the wire.
-const (
-	wireGet = 1
-	wireSet = 2
-)
-
 // EncodeGet builds a GET request frame: 'g' + key bytes.
 func EncodeGet(key []byte) []byte {
 	return append([]byte{'g'}, key...)
@@ -66,132 +59,54 @@ func EncodeSet(key, value []byte) []byte {
 	return append(out, value...)
 }
 
-// ParseRequest decodes a frame. It returns op (wireGet/wireSet), the key
-// and the value (nil for GETs), or op 0 for malformed frames.
-func ParseRequest(frame []byte) (op int, key, value []byte) {
+// ParseRequest decodes a frame. It returns the op, the key and the value
+// (nil for GETs), or supervised.OpNone for malformed frames.
+func ParseRequest(frame []byte) (op supervised.Op, key, value []byte) {
 	if len(frame) < 1+KeySize {
-		return 0, nil, nil
+		return supervised.OpNone, nil, nil
 	}
 	switch frame[0] {
 	case 'g':
-		return wireGet, frame[1 : 1+KeySize], nil
+		return supervised.OpGet, frame[1 : 1+KeySize], nil
 	case 's':
 		klen := int(frame[1])
 		if klen != KeySize || len(frame) < 2+klen {
-			return 0, nil, nil
+			return supervised.OpNone, nil, nil
 		}
-		return wireSet, frame[2 : 2+klen], frame[2+klen:]
+		return supervised.OpSet, frame[2 : 2+klen], frame[2+klen:]
 	}
-	return 0, nil, nil
+	return supervised.OpNone, nil, nil
 }
 
 // --- Native store (the user-space server and the BMC fallback) --------------------
 
-// KV is the authoritative-store surface the deployments are written
-// against: the in-memory Store and the WAL-backed durable.Store both
-// satisfy it, so a deployment gains crash durability by construction —
-// swap the store, keep the serving logic.
-type KV interface {
-	// Get returns the value bytes or nil.
-	Get(key []byte) []byte
-	// Set stores value under key.
-	Set(key, value []byte)
-	// Range visits every key/value pair in sorted key order
-	// (deterministic resync replay).
-	Range(fn func(key, value []byte) error) error
-}
+// KV is the authoritative-store contract the deployments are written
+// against (the in-memory Store or the WAL-backed durable.Store).
+type KV = supervised.KV
 
 // HandleKV processes one request frame against any authoritative store
 // and returns the reply.
 func HandleKV(kv KV, frame []byte, reply []byte) []byte {
 	op, key, value := ParseRequest(frame)
 	switch op {
-	case wireGet:
+	case supervised.OpGet:
 		v := kv.Get(key)
 		if v == nil {
 			return append(reply[:0], 'M')
 		}
 		return append(append(reply[:0], 'V'), v...)
-	case wireSet:
+	case supervised.OpSet:
 		kv.Set(key, value)
 		return append(reply[:0], 'S')
 	}
 	return append(reply[:0], 'E')
 }
 
-// shards stripes the store's locks, as production Memcached does.
-const shards = 16
-
-type shard struct {
-	mu sync.Mutex
-	kv map[string][]byte
-	// expiry bookkeeping for the §5.3 garbage collector.
-	exp map[string]int64
-}
-
 // Store is the user-space Memcached store.
-type Store struct {
-	shards [shards]shard
-}
+type Store struct{ supervised.Store }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].kv = make(map[string][]byte)
-		s.shards[i].exp = make(map[string]int64)
-	}
-	return s
-}
-
-func (s *Store) shardOf(key []byte) *shard {
-	var h uint64
-	for _, b := range key {
-		h = h*131 + uint64(b)
-	}
-	return &s.shards[h%shards]
-}
-
-// Get returns the value bytes or nil.
-func (s *Store) Get(key []byte) []byte {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.kv[string(key)]
-}
-
-// Set stores value under key.
-func (s *Store) Set(key, value []byte) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.kv[string(key)] = append([]byte(nil), value...)
-}
-
-// Range visits every key/value pair in sorted key order. Deterministic
-// iteration matters to the supervised deployment: a reload resync replays
-// the store into the fresh heap, and a stable order keeps the
-// fault-injection trace reproducible across runs.
-func (s *Store) Range(fn func(key, value []byte) error) error {
-	keys := make([]string, 0, 1024)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.kv {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if v := s.Get([]byte(k)); v != nil {
-			if err := fn([]byte(k), v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func NewStore() *Store { return &Store{} }
 
 // Handle processes one request frame natively and returns the reply.
 func (s *Store) Handle(frame []byte, reply []byte) []byte {

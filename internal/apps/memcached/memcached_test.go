@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"kflex/internal/apps/supervised"
 	"kflex/internal/sim"
 	"kflex/internal/workload"
 )
@@ -12,11 +13,11 @@ func TestProtocolRoundTrip(t *testing.T) {
 	key := workload.FormatKey(42, KeySize)
 	val := workload.FormatValue(42, ValueSize)
 	op, k, v := ParseRequest(EncodeSet(key, val))
-	if op != wireSet || !bytes.Equal(k, key) || !bytes.Equal(v, val) {
+	if op != supervised.OpSet || !bytes.Equal(k, key) || !bytes.Equal(v, val) {
 		t.Fatalf("set parse: op=%d", op)
 	}
 	op, k, v = ParseRequest(EncodeGet(key))
-	if op != wireGet || !bytes.Equal(k, key) || v != nil {
+	if op != supervised.OpGet || !bytes.Equal(k, key) || v != nil {
 		t.Fatalf("get parse: op=%d", op)
 	}
 	if op, _, _ := ParseRequest([]byte("junk")); op != 0 {

@@ -1,65 +1,29 @@
 package memcached
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
-
 	"kflex"
+	"kflex/internal/apps/supervised"
 	"kflex/internal/durable"
 	"kflex/internal/kernel"
-	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/supervisor"
-	"kflex/internal/workload"
 )
 
 // Supervised is the KFlex Memcached deployment routed through the
-// lifecycle supervisor: a fault burst that degrades the extension no
-// longer forfeits the offload permanently. While the circuit is open the
-// server answers from a durable user-space store; once the supervisor
-// reloads the extension it resyncs the store into the fresh heap and
-// traffic returns to the XDP path.
-//
-// The user-space store is authoritative: every offloaded SET is written
-// through to it, so no acknowledged write is lost across a
-// quarantine/reload cycle, and an extension GET miss double-checks it
-// (the entry may have landed while the circuit was open).
-//
-// Like the other deployments, a Supervised instance drives one request at
-// a time per instance; the per-cpu concurrency contract lives in the
-// supervisor itself.
-type Supervised struct {
-	cfg   Config
-	sup   *supervisor.Supervisor
-	store KV
-	fac   *reqFactory
-	pkt   netsim.Packet
-	ctx   []byte
-	reply []byte
-	// dirty tracks keys whose authoritative value may differ from the
-	// extension heap's copy: SETs acknowledged on the fallback path while
-	// the circuit was open (or the run was cancelled mid-flight). A warm
-	// reload replays exactly this set — the O(delta) resync contract —
-	// and GETs served from a stale heap are corrected against it.
-	//
-	// mu guards dirty: a live migration's adoption resync runs on the
-	// Migrate caller's goroutine while Execute keeps acknowledging
-	// fallback SETs on the serving goroutine. resync snapshots and
-	// unmarks under mu, then replays outside it; a key re-dirtied after
-	// its snapshot keeps its fresh mark, so the stale replayed value is
-	// still corrected on the next GET.
-	mu    sync.Mutex
-	dirty map[string]struct{}
-	// recovery is the durable store's RecoveryInfo, reported through the
-	// first generation's InitReport and then consumed.
-	recovery *durable.RecoveryInfo
-	// Offloaded counts requests served by the extension; Fallbacks counts
-	// requests served by the user-space store (open circuit, probe quota,
-	// cancelled run, durable-store GET backfill, or dirty-key correction).
-	Offloaded, Fallbacks uint64
+// lifecycle supervisor (see package supervised): a fault burst that
+// degrades the extension no longer forfeits the offload permanently.
+// While the circuit is open the server answers from the authoritative
+// store; once the supervisor reloads the extension it resyncs the store
+// into the heap and traffic returns to the XDP path.
+type Supervised struct{ *supervised.FrontEnd }
+
+// codec is the Memcached wire protocol at XDP.
+var codec = supervised.Codec{
+	Hook:      kernel.HookXDP,
+	Served:    kernel.XDPTx,
+	Parse:     ParseRequest,
+	EncodeSet: EncodeSet,
+	Miss:      func(reply []byte) bool { return len(reply) == 1 && reply[0] == 'M' },
+	Handle:    HandleKV,
 }
 
 // NewSupervised builds the supervised deployment. tuning configures the
@@ -82,215 +46,30 @@ func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, i
 	if cfg.Durable == nil {
 		store = NewStore()
 	}
-	m := &Supervised{cfg: cfg, store: store, fac: newReqFactory(cfg),
-		dirty: make(map[string]struct{}), recovery: info}
 	if cfg.Preload {
-		preloadStore(m.store, cfg.ValueSize)
+		preloadStore(store, cfg.ValueSize)
 	}
-	slots := cfg.Slots
-	if slots < servers {
-		slots = servers
-	}
-	heapSize := cfg.HeapSize
-	if heapSize == 0 {
-		heapSize = 64 << 20
-	}
-	sup, err := supervisor.New(supervisor.Config{
+	fe, err := supervised.New(supervisor.Config{
 		Runtime: rt,
 		Spec: kflex.Spec{
 			Name:            "kflex-memcached",
 			Insns:           kflexProgram(false),
-			Hook:            kflex.HookXDP,
 			Mode:            kflex.ModeKFlex,
-			HeapSize:        heapSize,
-			NumCPUs:         slots,
+			HeapSize:        cfg.HeapSize,
+			NumCPUs:         cfg.Slots,
 			FaultPlan:       cfg.FaultPlan,
 			LocalCancel:     cfg.LocalCancel,
 			CancelThreshold: cfg.CancelThreshold,
 		},
 		NumCPUs: servers,
-		Init:    m.resync,
 		// The deployment is single-driver (one request at a time per cpu
 		// slot), so the next generation can safely adopt a cleanly
 		// audited heap and resync only the dirty set.
 		WarmReload: !cfg.ColdReload,
 		Tuning:     tuning,
-	})
+	}, codec, store, info)
 	if err != nil {
 		return nil, err
 	}
-	m.sup = sup
-	return m, nil
+	return &Supervised{fe}, nil
 }
-
-// resync initialises a generation's heap from the authoritative store, in
-// sorted key order so the replay is deterministic. A cold generation
-// (fresh heap) is initialised and receives every key; a warm generation
-// adopted the previous heap, so only the dirty set — keys acknowledged on
-// the fallback path while the heap was out of service — is replayed.
-func (m *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, error) {
-	var rep supervisor.InitReport
-	if m.recovery != nil {
-		rep.ReplayedRecords = m.recovery.Replayed
-		rep.SnapshotLoaded = m.recovery.SnapshotLoaded != ""
-		m.recovery = nil
-	}
-	run := func(frame []byte) error {
-		pkt := &netsim.Packet{Data: frame}
-		res, err := g.Handles[0].Run(pkt, pkt.XDPCtx(0))
-		if err != nil {
-			return err
-		}
-		if res.Ret != kernel.XDPTx {
-			return fmt.Errorf("memcached: resync frame returned %d", res.Ret)
-		}
-		return nil
-	}
-	if g.Warm {
-		// The adopted heap already holds every key the old generation
-		// served; push only the delta, sorted for determinism. Snapshot
-		// keys and their authoritative values and unmark them under the
-		// lock, then replay outside it: during a live migration Execute
-		// keeps acknowledging fallback SETs concurrently, and a key
-		// re-dirtied after its snapshot keeps its fresh mark so the next
-		// GET is still corrected against the store.
-		m.mu.Lock()
-		keys := make([]string, 0, len(m.dirty))
-		for k := range m.dirty {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = m.store.Get([]byte(k))
-			delete(m.dirty, k)
-		}
-		m.mu.Unlock()
-		for i, k := range keys {
-			if vals[i] == nil {
-				continue
-			}
-			if err := run(EncodeSet([]byte(k), vals[i])); err != nil {
-				return rep, err
-			}
-			rep.ResyncOps++
-		}
-		return rep, nil
-	}
-	rep.FullResync = true
-	if err := run([]byte{'i'}); err != nil {
-		return rep, err
-	}
-	err := m.store.Range(func(key, value []byte) error {
-		if err := run(EncodeSet(key, value)); err != nil {
-			return err
-		}
-		rep.ResyncOps++
-		return nil
-	})
-	if err != nil {
-		return rep, err
-	}
-	m.mu.Lock()
-	m.dirty = make(map[string]struct{})
-	m.mu.Unlock()
-	return rep, nil
-}
-
-// FallbackSet acknowledges one SET directly on the authoritative store,
-// as if it had been served on the user-space fallback path: the value is
-// durable and the key joins the dirty set the next warm resync replays.
-// Migration benchmarks and chaos tests use it to build a dirty delta of
-// an exact size without driving traffic.
-func (m *Supervised) FallbackSet(key, value []byte) {
-	m.store.Set(key, value)
-	m.mu.Lock()
-	m.dirty[string(key)] = struct{}{}
-	m.mu.Unlock()
-}
-
-// Execute serves one frame: on the extension when the circuit admits it,
-// from the durable store otherwise. It reports the reply, the modeled
-// extension cost (0 on fallback), and whether the request was offloaded.
-func (m *Supervised) Execute(cpu int, frame []byte) (reply []byte, extNs float64, offloaded bool) {
-	m.pkt.Data = frame
-	m.pkt.Reply = m.pkt.Reply[:0]
-	if m.ctx == nil {
-		m.ctx = make([]byte, kernel.HookXDP.CtxSize)
-	}
-	binary.LittleEndian.PutUint32(m.ctx[0:], uint32(len(frame)))
-	res, err := m.sup.Run(cpu, &m.pkt, m.ctx)
-	if err != nil || res.Ret != kernel.XDPTx {
-		// Open circuit, probe quota, or a cancelled run: the durable
-		// store serves the request — the paper's offload-miss path (§5).
-		// A SET acknowledged here is invisible to the (stale) heap, so it
-		// joins the dirty set the next warm resync will replay.
-		m.Fallbacks++
-		if op, key, _ := ParseRequest(frame); op == wireSet {
-			m.mu.Lock()
-			m.dirty[string(key)] = struct{}{}
-			m.mu.Unlock()
-		}
-		m.reply = HandleKV(m.store, frame, m.reply)
-		return m.reply, 0, false
-	}
-	op, key, value := ParseRequest(frame)
-	if op == wireSet {
-		// Write-through: the durable store mirrors every offloaded SET
-		// so a reloaded generation can be resynced from it. The heap now
-		// holds the same value, so the key is no longer dirty.
-		m.store.Set(key, value)
-		m.mu.Lock()
-		delete(m.dirty, string(key))
-		m.mu.Unlock()
-	}
-	if op == wireGet {
-		m.mu.Lock()
-		_, stale := m.dirty[string(key)]
-		m.mu.Unlock()
-		if stale || len(m.pkt.Reply) == 1 && m.pkt.Reply[0] == 'M' {
-			// Dirty key (heap copy stale) or extension miss (the entry
-			// may have landed while the circuit was open): the durable
-			// store is authoritative for acknowledged SETs.
-			if v := m.store.Get(key); v != nil {
-				m.Fallbacks++
-				m.reply = append(append(m.reply[:0], 'V'), v...)
-				return m.reply, 0, false
-			}
-		}
-	}
-	m.Offloaded++
-	return m.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), true
-}
-
-// Serve implements sim.System with the same path costing as KFlexMC:
-// offloaded requests ride XDP, fallbacks pay the user-space stack.
-func (m *Supervised) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	req, frame := m.fac.next()
-	_, extNs, offloaded := m.Execute(cpu, frame)
-	if !offloaded {
-		path := m.cfg.Costs.UserspaceUDP()
-		if req.Op == workload.OpSet {
-			path = m.cfg.Costs.UserspaceTCP()
-		}
-		return sim.Service{Ns: path}
-	}
-	path := m.cfg.Costs.XDPUDP()
-	if req.Op == workload.OpSet {
-		path = m.cfg.Costs.XDPTCPFast()
-	}
-	return sim.Service{Ns: extNs + path}
-}
-
-// Name labels the system.
-func (m *Supervised) Name() string { return "KFlex supervised" }
-
-// Supervisor exposes the lifecycle supervisor (state, trace, audits).
-func (m *Supervised) Supervisor() *supervisor.Supervisor { return m.sup }
-
-// Store exposes the authoritative user-space store (a *Store by default,
-// the WAL-backed durable store when Config.Durable is set).
-func (m *Supervised) Store() KV { return m.store }
-
-// Close retires the live generation.
-func (m *Supervised) Close() { m.sup.Close() }

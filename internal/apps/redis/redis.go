@@ -19,13 +19,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"kflex"
+	"kflex/insn"
 	"kflex/internal/apps/kvprog"
+	"kflex/internal/apps/supervised"
 	"kflex/internal/ds"
 	"kflex/internal/durable"
 	"kflex/internal/faultinject"
@@ -108,15 +109,10 @@ func ParseCommand(frame []byte) ([][]byte, error) {
 
 // --- KeyDB: the multi-threaded user-space baseline ----------------------------------
 
-const shards = 16
-
 // KeyDB is the user-space server.
 type KeyDB struct {
-	cfg    Config
-	shards [shards]struct {
-		mu sync.Mutex
-		kv map[string][]byte
-	}
+	supervised.Store
+	cfg   Config
 	fac   *reqFactory
 	reply []byte
 }
@@ -145,14 +141,6 @@ type Config struct {
 	// authoritative store with a WAL-backed durable store: acknowledged
 	// writes survive process crashes and are replayed on reopen.
 	Durable *durable.Store
-	// Slots sizes the extension's physical handle-slot table for the
-	// supervised deployment. It defaults to the server count; declaring
-	// more leaves free slots as live-migration targets
-	// (supervisor.Migrate).
-	Slots int
-	// HeapSize overrides the supervised deployment's extension heap size
-	// in bytes (default 64 MiB).
-	HeapSize uint64
 }
 
 // DefaultConfig mirrors §5.1.
@@ -176,82 +164,14 @@ func (f *reqFactory) next() (workload.Request, []byte) {
 // NewKeyDB builds and optionally preloads the baseline.
 func NewKeyDB(cfg Config) *KeyDB {
 	k := &KeyDB{cfg: cfg, fac: &reqFactory{gen: workload.NewGenerator(cfg.Seed, cfg.Mix)}}
-	for i := range k.shards {
-		k.shards[i].kv = make(map[string][]byte)
-	}
 	if cfg.Preload {
-		for key := uint64(1); key <= workload.KeySpace; key++ {
-			k.set(workload.FormatKey(key, KeySize), workload.FormatValue(key, ValueSize))
-		}
+		preload(k)
 	}
 	return k
 }
 
-func (k *KeyDB) shardOf(key []byte) *struct {
-	mu sync.Mutex
-	kv map[string][]byte
-} {
-	var h uint64
-	for _, b := range key {
-		h = h*131 + uint64(b)
-	}
-	return &k.shards[h%shards]
-}
-
-func (k *KeyDB) set(key, value []byte) {
-	sh := k.shardOf(key)
-	sh.mu.Lock()
-	sh.kv[string(key)] = append([]byte(nil), value...)
-	sh.mu.Unlock()
-}
-
-// Set stores a copy of value under key.
-func (k *KeyDB) Set(key, value []byte) { k.set(key, value) }
-
-// Get returns the stored value bytes or nil.
-func (k *KeyDB) Get(key []byte) []byte {
-	sh := k.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.kv[string(key)]
-}
-
-// Range visits every key/value pair in sorted key order. Deterministic
-// iteration matters to the supervised deployment: a reload resync replays
-// the store into the fresh heap, and a stable order keeps the
-// fault-injection trace reproducible across runs.
-func (k *KeyDB) Range(fn func(key, value []byte) error) error {
-	keys := make([]string, 0, 1024)
-	for i := range k.shards {
-		sh := &k.shards[i]
-		sh.mu.Lock()
-		for key := range sh.kv {
-			keys = append(keys, key)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if v := k.Get([]byte(key)); v != nil {
-			if err := fn([]byte(key), v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// KV is the store contract the supervised deployment serves from: both
-// *KeyDB and the WAL-backed *durable.Store satisfy it. Range must visit
-// keys in sorted order so reload resyncs are deterministic.
-type KV interface {
-	Get(key []byte) []byte
-	Set(key, value []byte)
-	Range(fn func(key, value []byte) error) error
-}
-
 // HandleRESP processes one RESP GET/SET frame against any KV store.
-func HandleRESP(kv KV, frame []byte, reply []byte) []byte {
+func HandleRESP(kv supervised.KV, frame []byte, reply []byte) []byte {
 	args, err := ParseCommand(frame)
 	if err != nil || len(args) < 2 {
 		return append(reply[:0], "-ERR\r\n"...)
@@ -400,21 +320,25 @@ type KFlexRedis struct {
 	Work kflex.Stats
 }
 
-// NewKFlex loads the Redis extension (§5.1: ~3100 LoC in the paper's C
+// kflexProgram is the Redis extension (§5.1: ~3100 LoC in the paper's C
 // implementation; the structure is the shared KV program at sk_skb).
-func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
-	rt := kflex.NewRuntime()
-	RegisterHelpers(rt)
-	prog := kvprog.Build(kvprog.Options{
+func kflexProgram() []insn.Instruction {
+	return kvprog.Build(kvprog.Options{
 		ParseHelper: helperRespParse,
 		ReplyHelper: helperRespReply,
 		RetServed:   Served,
 		RetPass:     kernel.SkPass,
 		RetErr:      kernel.SkDrop,
 	})
+}
+
+// NewKFlex loads the Redis extension.
+func NewKFlex(cfg Config, servers int) (*KFlexRedis, error) {
+	rt := kflex.NewRuntime()
+	RegisterHelpers(rt)
 	ext, err := rt.Load(kflex.Spec{
 		Name:            "kflex-redis",
-		Insns:           prog,
+		Insns:           kflexProgram(),
 		Hook:            kflex.HookSkSkb,
 		Mode:            kflex.ModeKFlex,
 		HeapSize:        64 << 20,

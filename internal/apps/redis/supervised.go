@@ -2,279 +2,84 @@ package redis
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math/rand"
-	"sort"
-	"sync"
 
 	"kflex"
-	"kflex/internal/apps/kvprog"
-	"kflex/internal/durable"
+	"kflex/internal/apps/supervised"
 	"kflex/internal/kernel"
-	"kflex/internal/netsim"
-	"kflex/internal/sim"
 	"kflex/internal/supervisor"
 	"kflex/internal/workload"
 )
 
 // Supervised is the KFlex Redis deployment routed through the lifecycle
-// supervisor. While the circuit is open, requests are answered by the
-// user-space store (KeyDB, or the WAL-backed durable store when
-// Config.Durable is set); a reload resyncs the store into the heap and
-// traffic returns to the sk_skb offload. Every offloaded SET is written
-// through to the store, so no acknowledged write is lost across a
-// quarantine/reload cycle.
-type Supervised struct {
-	cfg   Config
-	sup   *supervisor.Supervisor
-	db    KV
-	fac   *reqFactory
-	pkt   netsim.Packet
-	ctx   []byte
-	reply []byte
-	// dirty tracks keys SET on the fallback path while the extension heap
-	// was out of service; a warm reload replays exactly this set and GETs
-	// from a stale heap are corrected against it. mu guards it: a live
-	// migration's adoption resync runs on the Migrate caller's goroutine
-	// while Execute keeps acknowledging fallback SETs (see memcached's
-	// Supervised for the snapshot-and-unmark protocol).
-	mu    sync.Mutex
-	dirty map[string]struct{}
-	// recovery is the durable store's RecoveryInfo, reported through the
-	// first generation's InitReport and then consumed.
-	recovery *durable.RecoveryInfo
-	// Offloaded counts requests served by the extension; Fallbacks counts
-	// requests served by the user-space store.
-	Offloaded, Fallbacks uint64
-}
+// supervisor (see package supervised). While the circuit is open,
+// requests are answered by the authoritative store (the in-memory store,
+// or the WAL-backed durable store when Config.Durable is set); a reload
+// resyncs the store into the heap and traffic returns to the sk_skb
+// offload.
+type Supervised struct{ *supervised.FrontEnd }
 
 // respNil is the RESP bulk-string miss reply.
 var respNil = []byte("$-1\r\n")
 
+// codec is the RESP wire protocol at sk_skb.
+var codec = supervised.Codec{
+	Hook:   kernel.HookSkSkb,
+	Served: Served,
+	Parse: func(frame []byte) (supervised.Op, []byte, []byte) {
+		args, err := ParseCommand(frame)
+		if err != nil {
+			return supervised.OpNone, nil, nil
+		}
+		switch {
+		case len(args) >= 3 && string(args[0]) == "SET":
+			return supervised.OpSet, args[1], args[2]
+		case len(args) >= 2 && string(args[0]) == "GET":
+			return supervised.OpGet, args[1], nil
+		}
+		return supervised.OpNone, nil, nil
+	},
+	EncodeSet: func(key, value []byte) []byte { return EncodeCommand([]byte("SET"), key, value) },
+	Miss:      func(reply []byte) bool { return bytes.Equal(reply, respNil) },
+	Handle:    HandleRESP,
+}
+
 // NewSupervised builds the supervised deployment. tuning configures the
 // circuit breaker (zero values take supervisor defaults).
 func NewSupervised(cfg Config, servers int, tuning supervisor.Tuning) (*Supervised, error) {
-	return NewSupervisedRecovered(cfg, servers, tuning, nil)
-}
-
-// NewSupervisedRecovered is NewSupervised for a recovered durable store:
-// info (from durable.Open) is folded into the initial generation's
-// InitReport so Supervisor.Stats reports the WAL replay that rebuilt the
-// store.
-func NewSupervisedRecovered(cfg Config, servers int, tuning supervisor.Tuning, info *durable.RecoveryInfo) (*Supervised, error) {
 	rt := kflex.NewRuntime()
 	RegisterHelpers(rt)
-	prog := kvprog.Build(kvprog.Options{
-		ParseHelper: helperRespParse,
-		ReplyHelper: helperRespReply,
-		RetServed:   Served,
-		RetPass:     kernel.SkPass,
-		RetErr:      kernel.SkDrop,
-	})
-	var db KV = cfg.Durable
+	var db supervised.KV = cfg.Durable
 	if cfg.Durable == nil {
-		// NewKeyDB handles preloading; the initial resync replays the
-		// store into the extension heap.
-		db = NewKeyDB(cfg)
-	} else if cfg.Preload {
-		for key := uint64(1); key <= workload.KeySpace; key++ {
-			db.Set(workload.FormatKey(key, KeySize), workload.FormatValue(key, ValueSize))
-		}
+		db = new(supervised.Store)
 	}
-	r := &Supervised{cfg: cfg, db: db,
-		fac:   &reqFactory{gen: workload.NewGenerator(cfg.Seed, cfg.Mix)},
-		dirty: make(map[string]struct{}), recovery: info}
-	slots := cfg.Slots
-	if slots < servers {
-		slots = servers
+	if cfg.Preload {
+		preload(db)
 	}
-	heapSize := cfg.HeapSize
-	if heapSize == 0 {
-		heapSize = 64 << 20
-	}
-	sup, err := supervisor.New(supervisor.Config{
+	fe, err := supervised.New(supervisor.Config{
 		Runtime: rt,
 		Spec: kflex.Spec{
 			Name:            "kflex-redis",
-			Insns:           prog,
-			Hook:            kflex.HookSkSkb,
+			Insns:           kflexProgram(),
 			Mode:            kflex.ModeKFlex,
-			HeapSize:        heapSize,
-			NumCPUs:         slots,
 			FaultPlan:       cfg.FaultPlan,
 			LocalCancel:     cfg.LocalCancel,
 			CancelThreshold: cfg.CancelThreshold,
 		},
 		NumCPUs: servers,
-		Init:    r.resync,
 		// One request at a time per cpu slot: safe to adopt a cleanly
 		// audited heap across reloads and resync only the dirty set.
 		WarmReload: true,
 		Tuning:     tuning,
-	})
+	}, codec, db, nil)
 	if err != nil {
 		return nil, err
 	}
-	r.sup = sup
-	return r, nil
+	return &Supervised{fe}, nil
 }
 
-// resync initialises a generation's heap from the store, in sorted key
-// order so the replay is deterministic. A cold generation (fresh heap)
-// is initialised and receives every key; a warm generation adopted the
-// previous heap and replays only the dirty set.
-func (r *Supervised) resync(g supervisor.Generation) (supervisor.InitReport, error) {
-	var rep supervisor.InitReport
-	if r.recovery != nil {
-		rep.ReplayedRecords = r.recovery.Replayed
-		rep.SnapshotLoaded = r.recovery.SnapshotLoaded != ""
-		r.recovery = nil
+// preload fills every key of the workload's key space.
+func preload(db supervised.KV) {
+	for key := uint64(1); key <= workload.KeySpace; key++ {
+		db.Set(workload.FormatKey(key, KeySize), workload.FormatValue(key, ValueSize))
 	}
-	run := func(frame []byte) error {
-		pkt := &netsim.Packet{Data: frame}
-		ctx := make([]byte, kernel.HookSkSkb.CtxSize)
-		binary.LittleEndian.PutUint32(ctx[0:], uint32(len(frame)))
-		res, err := g.Handles[0].Run(pkt, ctx)
-		if err != nil {
-			return err
-		}
-		if res.Ret != Served {
-			return fmt.Errorf("redis: resync frame returned %d", res.Ret)
-		}
-		return nil
-	}
-	if g.Warm {
-		// Snapshot and unmark under the lock, replay outside it: Execute
-		// may acknowledge fallback SETs concurrently during a live
-		// migration, and re-dirtied keys must keep their fresh marks.
-		r.mu.Lock()
-		keys := make([]string, 0, len(r.dirty))
-		for k := range r.dirty {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		vals := make([][]byte, len(keys))
-		for i, k := range keys {
-			vals[i] = r.db.Get([]byte(k))
-			delete(r.dirty, k)
-		}
-		r.mu.Unlock()
-		for i, k := range keys {
-			if vals[i] == nil {
-				continue
-			}
-			if err := run(EncodeCommand([]byte("SET"), []byte(k), vals[i])); err != nil {
-				return rep, err
-			}
-			rep.ResyncOps++
-		}
-		return rep, nil
-	}
-	rep.FullResync = true
-	if err := run([]byte{'i'}); err != nil {
-		return rep, err
-	}
-	err := r.db.Range(func(key, value []byte) error {
-		if err := run(EncodeCommand([]byte("SET"), key, value)); err != nil {
-			return err
-		}
-		rep.ResyncOps++
-		return nil
-	})
-	if err != nil {
-		return rep, err
-	}
-	r.mu.Lock()
-	r.dirty = make(map[string]struct{})
-	r.mu.Unlock()
-	return rep, nil
 }
-
-// FallbackSet acknowledges one SET directly on the authoritative store,
-// as if it had been served on the user-space fallback path: the value is
-// durable and the key joins the dirty set the next warm resync replays.
-// Migration benchmarks and chaos tests use it to build a dirty delta of
-// an exact size without driving traffic.
-func (r *Supervised) FallbackSet(key, value []byte) {
-	r.db.Set(key, value)
-	r.mu.Lock()
-	r.dirty[string(key)] = struct{}{}
-	r.mu.Unlock()
-}
-
-// Execute serves one frame: on the extension when the circuit admits it,
-// from KeyDB otherwise. It reports the reply, the modeled extension cost
-// (0 on fallback), and whether the request was offloaded.
-func (r *Supervised) Execute(cpu int, frame []byte) (reply []byte, extNs float64, offloaded bool) {
-	r.pkt.Data = frame
-	r.pkt.Reply = r.pkt.Reply[:0]
-	if r.ctx == nil {
-		r.ctx = make([]byte, kernel.HookSkSkb.CtxSize)
-	}
-	binary.LittleEndian.PutUint32(r.ctx[0:], uint32(len(frame)))
-	res, err := r.sup.Run(cpu, &r.pkt, r.ctx)
-	if err != nil || res.Ret != Served {
-		// Open circuit, probe quota, or cancelled run: the store serves
-		// the request. A SET acknowledged here is invisible to the stale
-		// heap, so its key joins the dirty set for the next warm resync.
-		r.Fallbacks++
-		if args, perr := ParseCommand(frame); perr == nil && len(args) >= 3 && string(args[0]) == "SET" {
-			r.mu.Lock()
-			r.dirty[string(args[1])] = struct{}{}
-			r.mu.Unlock()
-		}
-		r.reply = HandleRESP(r.db, frame, r.reply)
-		return r.reply, 0, false
-	}
-	if args, perr := ParseCommand(frame); perr == nil && len(args) >= 3 && string(args[0]) == "SET" {
-		// Write-through: the store mirrors every offloaded SET so a
-		// reloaded generation can be resynced from it; the heap now holds
-		// the same value, so the key is no longer dirty.
-		r.db.Set(args[1], args[2])
-		r.mu.Lock()
-		delete(r.dirty, string(args[1]))
-		r.mu.Unlock()
-	} else if perr == nil && len(args) >= 2 && string(args[0]) == "GET" {
-		r.mu.Lock()
-		_, stale := r.dirty[string(args[1])]
-		r.mu.Unlock()
-		if stale || bytes.Equal(r.pkt.Reply, respNil) {
-			// Dirty key (heap copy stale) or extension miss (the entry
-			// may have landed while the circuit was open): the store is
-			// authoritative for acknowledged SETs.
-			if v := r.db.Get(args[1]); v != nil {
-				r.Fallbacks++
-				r.reply = append(r.reply[:0], fmt.Sprintf("$%d\r\n", len(v))...)
-				r.reply = append(r.reply, v...)
-				r.reply = append(r.reply, '\r', '\n')
-				return r.reply, 0, false
-			}
-		}
-	}
-	r.Offloaded++
-	return r.pkt.Reply, netsim.ModelExtNs(res.Stats.Insns, res.Stats.HelperCalls), true
-}
-
-// Serve implements sim.System with the same path costing as KFlexRedis.
-func (r *Supervised) Serve(cpu int, now float64, seq uint64, rng *rand.Rand) sim.Service {
-	_, frame := r.fac.next()
-	_, extNs, offloaded := r.Execute(cpu, frame)
-	if !offloaded {
-		return sim.Service{Ns: r.cfg.Costs.UserspaceTCP()}
-	}
-	return sim.Service{Ns: extNs + r.cfg.Costs.SkSkbTCP()}
-}
-
-// Name labels the system.
-func (r *Supervised) Name() string { return "KFlex supervised" }
-
-// Supervisor exposes the lifecycle supervisor (state, trace, audits).
-func (r *Supervised) Supervisor() *supervisor.Supervisor { return r.sup }
-
-// DB exposes the authoritative user-space store (*KeyDB by default, the
-// WAL-backed durable store when Config.Durable is set).
-func (r *Supervised) DB() KV { return r.db }
-
-// Close retires the live generation.
-func (r *Supervised) Close() { r.sup.Close() }
