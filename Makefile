@@ -52,13 +52,15 @@ migrate:
 		. ./internal/supervisor/
 
 # Brief fuzz sessions for the instruction codec, disassembler, the
-# text-assembler front end, interpreter/lowered-tier equivalence, and the
-# WAL replay path over mutated segment bytes.
+# text-assembler front end, interpreter/lowered-tier equivalence, the heap's
+# check-once accessors against its full checked path, and the WAL replay
+# path over mutated segment bytes.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzCodecRoundtrip -fuzztime=20s ./insn/
 	$(GO) test -run=NONE -fuzz=FuzzDisasm -fuzztime=20s ./insn/
 	$(GO) test -run=NONE -fuzz=FuzzAssemble -fuzztime=20s ./asm/
 	$(GO) test -run=NONE -fuzz=FuzzLoweredEquivalence -fuzztime=20s .
+	$(GO) test -run=NONE -fuzz=FuzzHeapFastPath -fuzztime=20s ./internal/heap/
 	$(GO) test -run=NONE -fuzz=FuzzMigrateCutover -fuzztime=20s .
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=20s ./internal/durable/
 
@@ -77,12 +79,15 @@ bench: build
 	$(GO) run ./cmd/kfbench -run migrate -json BENCH_migrate.json
 
 # CI-scale benchmark smoke: sanity-checks that the experiments run and
-# their reports are produced, without committing the throwaway numbers.
+# their reports are produced, without committing the throwaway numbers,
+# then runs the repository benchmark's own tests (perfbench is a separate
+# module; its tests include the seeded work-counter determinism check).
 bench-smoke: build
 	$(GO) run ./cmd/kfbench -run pipeline -quick -json /tmp/BENCH_pipeline_smoke.json
 	$(GO) run ./cmd/kfbench -run scale -quick -json /tmp/BENCH_scale_smoke.json
 	$(GO) run ./cmd/kfbench -run recovery -quick -json /tmp/BENCH_recovery_smoke.json
 	$(GO) run ./cmd/kfbench -run migrate -quick -json /tmp/BENCH_migrate_smoke.json
+	cd perfbench && $(GO) test ./...
 
 # The pre-merge gate: vet (this module and perfbench), build, the full
 # test suite under the race detector (includes the chaos suite), then the

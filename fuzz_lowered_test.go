@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kflex"
+	"kflex/asm"
 	"kflex/insn"
 	"kflex/internal/ds"
 )
@@ -23,6 +24,22 @@ func FuzzLoweredEquivalence(f *testing.F) {
 		if raw, err := insn.Encode(ds.Program(kind)); err == nil {
 			f.Add(raw, uint64(1), uint64(2))
 		}
+	}
+	// A mov+ALU pair whose ALU half is a branch target (entered with and
+	// without the move, so it must not fuse), then one that fuses.
+	straddle := asm.New().
+		Load(insn.R2, insn.R1, 8, 8). // ctx->key
+		MovImm(insn.R3, 5).
+		JmpImm(insn.JmpEq, insn.R2, 1, "add").
+		Mov(insn.R3, insn.R2).
+		Label("add").
+		Add(insn.R3, 8).
+		Mov(insn.R0, insn.R3).
+		I(insn.Alu64Imm(insn.AluLsh, insn.R0, 2)).
+		Exit().
+		MustAssemble()
+	if raw, err := insn.Encode(straddle); err == nil {
+		f.Add(raw, uint64(0), uint64(2))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, key, val uint64) {
 		prog, err := insn.Decode(raw)

@@ -221,14 +221,16 @@ func (f *FrontEnd) Execute(cpu int, frame []byte) (reply []byte, extNs float64, 
 		// Open circuit, probe quota, or a cancelled run: the store serves
 		// the request — the paper's offload-miss path (§5). A SET
 		// acknowledged here is invisible to the (stale) heap, so it joins
-		// the dirty set the next warm resync will replay.
+		// the dirty set the next warm resync will replay. It is marked
+		// after the store write: a migration's resync that unmarks it in
+		// between has read the new value, and a later one finds the mark.
 		f.Fallbacks++
+		f.reply = f.codec.Handle(f.store, frame, f.reply)
 		if op == OpSet {
 			f.mu.Lock()
 			f.dirty[string(key)] = struct{}{}
 			f.mu.Unlock()
 		}
-		f.reply = f.codec.Handle(f.store, frame, f.reply)
 		return f.reply, 0, false
 	}
 	switch op {

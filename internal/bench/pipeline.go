@@ -56,6 +56,7 @@ type PipelineApp struct {
 	FusedGuardLoad   int `json:"fused_guard_load"`
 	FusedGuardStore  int `json:"fused_guard_store"`
 	FusedProbeBranch int `json:"fused_probe_branch"`
+	FusedMovALU      int `json:"fused_mov_alu"`
 
 	Stages []PipelineStage `json:"stages"`
 	Tiers  []PipelineTier  `json:"tiers"`
@@ -216,6 +217,7 @@ func Pipeline(o Options) (*PipelineReport, error) {
 					out.FusedGuardLoad = m.FusedGuardLoad
 					out.FusedGuardStore = m.FusedGuardStore
 					out.FusedProbeBranch = m.FusedProbeBranch
+					out.FusedMovALU = m.FusedMovALU
 				}
 				for _, s := range sys.Ext().Pipeline().Stages {
 					out.Stages = append(out.Stages, PipelineStage{
@@ -247,9 +249,9 @@ func RunPipeline(o Options) error {
 	}
 	fmt.Fprintln(o.Out, "Pipeline: interpreter vs lowered pre-decoded tier (Mix 90:10)")
 	for _, app := range rep.Apps {
-		fmt.Fprintf(o.Out, "\n%s: %d src insns -> %d lowered (guard+load %d, guard+store %d, probe+branch %d fused); %d guards emitted, %d elided\n",
+		fmt.Fprintf(o.Out, "\n%s: %d src insns -> %d lowered (guard+load %d, guard+store %d, probe+branch %d, mov+alu %d fused); %d guards emitted, %d elided\n",
 			app.App, app.SrcInsns, app.LoweredInsns,
-			app.FusedGuardLoad, app.FusedGuardStore, app.FusedProbeBranch,
+			app.FusedGuardLoad, app.FusedGuardStore, app.FusedProbeBranch, app.FusedMovALU,
 			app.GuardsEmitted, app.GuardsElided)
 		fmt.Fprintf(o.Out, "%-14s %14s %14s %14s %12s %12s\n",
 			"tier", "ops/sec", "insns/op", "dispatch/op", "fused/op", "guards/op")

@@ -17,7 +17,9 @@
 //     superinstructions executed in one dispatch: guard+load, guard+store
 //     (the SFI sanitize-then-access sequence of §3.2, which the JIT lowers
 //     to adjacent hardware instructions) and probe+branch (the *terminate
-//     probe on an unbounded loop back edge, §3.3).
+//     probe on an unbounded loop back edge, §3.3). A register move
+//     followed by an immediate ALU step on the moved-to register fuses
+//     into one three-address instruction, as a JIT emits it.
 //   - Helper calls are turned into link-time-resolved call sites: the
 //     registry lookup the interpreter performs per call happens once in
 //     Link.
@@ -151,6 +153,18 @@ const (
 	OpProbeJa       // probe (CP in Off), then pc = Target
 	OpProbeJcc      // probe, then conditional branch (form in Size)
 
+	// Three-address ALU: `mov dst, src; <op> dst, imm` retired as
+	// dst = src <op> Imm in one dispatch, the 2-address → 3-address
+	// peephole a JIT applies to the eBPF ISA. Imm is resolved as for the
+	// <op>64Imm form.
+	OpMovAdd64Imm
+	OpMovSub64Imm
+	OpMovAnd64Imm
+	OpMovOr64Imm
+	OpMovXor64Imm
+	OpMovLsh64Imm
+	OpMovRsh64Imm
+
 	numOps
 )
 
@@ -193,9 +207,9 @@ type Metrics struct {
 	// lowered-stream length; the difference is deleted read guards plus
 	// one slot per fused pair.
 	SrcInsns, LoweredInsns int
-	// FusedGuardLoad/FusedGuardStore/FusedProbeBranch count fused
-	// superinstructions by kind.
-	FusedGuardLoad, FusedGuardStore, FusedProbeBranch int
+	// FusedGuardLoad/FusedGuardStore/FusedProbeBranch/FusedMovALU count
+	// fused superinstructions by kind.
+	FusedGuardLoad, FusedGuardStore, FusedProbeBranch, FusedMovALU int
 	// ReadGuardsDropped counts read guards deleted outright because the
 	// program compiles in performance mode (§3.2): the per-dispatch mode
 	// branch the interpreter pays does not exist on this tier.
@@ -303,7 +317,8 @@ func Lower(rep *kie.Report, cfg Config) (*Unit, error) {
 	// Pass 1: fusion decisions. A pair fuses only when the second
 	// instruction is the unique fall-through successor of the first: not
 	// a branch target, and addressed through the register the guard just
-	// sanitized.
+	// sanitized (or, for mov+ALU, operating on the register just moved
+	// to).
 	role := make([]uint8, n)
 	for i := 0; i < n-1; i++ {
 		if role[i] != roleNormal {
@@ -333,6 +348,8 @@ func Lower(rep *kie.Report, cfg Config) (*Unit, error) {
 			fuse = next.Op.Class() == insn.ClassLDX && next.Src == ins.Dst
 		case insn.OpProbe:
 			fuse = next.IsJump()
+		case movReg64:
+			fuse = movALUOp(ins, next) != OpInvalid
 		}
 		if fuse {
 			role[i], role[i+1] = roleFusedHead, roleFusedTail
@@ -437,8 +454,46 @@ func fusePair(head, tail insn.Instruction, i int, m *Metrics) (Insn, error) {
 			}
 		}
 		return li, nil
+	case movReg64:
+		op := movALUOp(head, tail)
+		if op == OpInvalid {
+			break
+		}
+		// The ALU half resolves its immediate exactly as unfused.
+		li, err := lowerALU(Insn{OrigPC: int32(i), Dst: uint8(tail.Dst)}, tail, true)
+		if err != nil {
+			return Insn{}, err
+		}
+		m.FusedMovALU++
+		li.Op, li.Src = op, uint8(head.Src)
+		return li, nil
 	}
 	return Insn{}, fmt.Errorf("compile: insn %d: unfusable pair %#02x/%#02x", i, uint8(head.Op), uint8(tail.Op))
+}
+
+// movReg64 is the 64-bit register move that heads a mov+ALU pair.
+const movReg64 = insn.ClassALU64 | insn.AluMov | insn.SrcX
+
+// movALUOps maps the ALU half of a mov+ALU pair to its three-address
+// superinstruction.
+var movALUOps = map[uint8]Op{
+	insn.AluAdd: OpMovAdd64Imm,
+	insn.AluSub: OpMovSub64Imm,
+	insn.AluAnd: OpMovAnd64Imm,
+	insn.AluOr:  OpMovOr64Imm,
+	insn.AluXor: OpMovXor64Imm,
+	insn.AluLsh: OpMovLsh64Imm,
+	insn.AluRsh: OpMovRsh64Imm,
+}
+
+// movALUOp returns the superinstruction for `mov dst, src` followed by
+// tail, or OpInvalid unless tail is a 64-bit immediate-form add, sub, and,
+// or, xor, lsh or rsh on the same dst.
+func movALUOp(mov, tail insn.Instruction) Op {
+	if mov.Op != movReg64 || tail.Op.Class() != insn.ClassALU64 || !tail.Op.UsesImm() || tail.Dst != mov.Dst {
+		return OpInvalid
+	}
+	return movALUOps[tail.Op.AluOp()]
 }
 
 // lowerOne lowers a single instruction at instrumented index i. Call sites

@@ -1,6 +1,7 @@
 package compile_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -150,6 +151,80 @@ func TestFusion(t *testing.T) {
 			m:    compile.Metrics{FusedProbeBranch: 1},
 		},
 		{
+			name: "mov+alu on one register fuses",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R1, insn.R1),
+				insn.Alu64Imm(insn.AluLsh, insn.R1, 3),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMovLsh64Imm, compile.OpExit},
+			m:    compile.Metrics{FusedMovALU: 1},
+		},
+		{
+			name: "mov+alu does not fuse when the alu is a branch target",
+			prog: []insn.Instruction{
+				insn.JmpImm(insn.JmpEq, insn.R3, 0, 1), // -> the add, skipping the mov
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R2, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpJcc64Imm, compile.OpMov64Reg, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "mov+alu does not fuse across different registers",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R3, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Reg, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "mov32 does not fuse",
+			prog: []insn.Instruction{
+				insn.Mov32Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(insn.AluAdd, insn.R2, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov32Reg, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "alu32 half does not fuse",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu32Imm(insn.AluAdd, insn.R2, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Reg, compile.OpAdd32Imm, compile.OpExit},
+		},
+		{
+			name: "mov of an immediate does not fuse",
+			prog: []insn.Instruction{
+				insn.Mov64Imm(insn.R2, 1),
+				insn.Alu64Imm(insn.AluAdd, insn.R2, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Imm, compile.OpAdd64Imm, compile.OpExit},
+		},
+		{
+			name: "register-form alu does not fuse",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Reg(insn.AluAdd, insn.R2, insn.R3),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Reg, compile.OpAdd64Reg, compile.OpExit},
+		},
+		{
+			name: "mov+mul does not fuse",
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(insn.AluMul, insn.R2, 8),
+				insn.Exit(),
+			},
+			want: []compile.Op{compile.OpMov64Reg, compile.OpMul64Imm, compile.OpExit},
+		},
+		{
 			name: "probe followed by a non-jump stays unfused",
 			prog: []insn.Instruction{
 				insn.Probe(0),
@@ -158,6 +233,35 @@ func TestFusion(t *testing.T) {
 			},
 			want: []compile.Op{compile.OpProbe, compile.OpMov64Imm, compile.OpExit},
 		},
+	}
+	for _, f := range []struct {
+		alu uint8
+		op  compile.Op
+	}{
+		{insn.AluAdd, compile.OpMovAdd64Imm},
+		{insn.AluSub, compile.OpMovSub64Imm},
+		{insn.AluAnd, compile.OpMovAnd64Imm},
+		{insn.AluOr, compile.OpMovOr64Imm},
+		{insn.AluXor, compile.OpMovXor64Imm},
+		{insn.AluLsh, compile.OpMovLsh64Imm},
+		{insn.AluRsh, compile.OpMovRsh64Imm},
+	} {
+		cases = append(cases, struct {
+			name string
+			prog []insn.Instruction
+			cfg  compile.Config
+			want []compile.Op
+			m    compile.Metrics
+		}{
+			name: fmt.Sprintf("mov+alu64 %#x fuses", f.alu),
+			prog: []insn.Instruction{
+				insn.Mov64Reg(insn.R2, insn.R1),
+				insn.Alu64Imm(f.alu, insn.R2, 3),
+				insn.Exit(),
+			},
+			want: []compile.Op{f.op, compile.OpExit},
+			m:    compile.Metrics{FusedMovALU: 1},
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,6 +303,49 @@ func TestPreResolvedOperands(t *testing.T) {
 	// dispatch carrying the full 64-bit constant.
 	if u.Code[2].Op != compile.OpMov64Imm || u.Code[2].Imm != 0xdeadbeefcafe {
 		t.Fatalf("lddw: %+v, want OpMov64Imm with the full constant", u.Code[2])
+	}
+	// A fused mov+shift keeps the move's source and the shift's masked
+	// amount, sign-extended immediates as unfused.
+	u = lower(t, []insn.Instruction{
+		insn.Mov64Reg(insn.R4, insn.R5),
+		insn.Alu64Imm(insn.AluLsh, insn.R4, 67),
+		insn.Mov64Reg(insn.R6, insn.R7),
+		insn.Alu64Imm(insn.AluAdd, insn.R6, -8),
+		insn.Exit(),
+	}, compile.Config{})
+	if c := u.Code[0]; c.Op != compile.OpMovLsh64Imm || c.Dst != 4 || c.Src != 5 || c.Imm != 3 || c.OrigPC != 0 {
+		t.Fatalf("mov+lsh: %+v, want r4 = r5 << 3 at pc 0", c)
+	}
+	if c := u.Code[1]; c.Op != compile.OpMovAdd64Imm || c.Dst != 6 || c.Src != 7 || c.Imm != ^uint64(7) || c.OrigPC != 2 {
+		t.Fatalf("mov+add: %+v, want r6 = r7 + -8 at pc 2", c)
+	}
+}
+
+// TestMovALUFusionRuns executes every fused mov+ALU form, including the
+// dst == src case, on both tiers.
+func TestMovALUFusionRuns(t *testing.T) {
+	prog := []insn.Instruction{
+		insn.LoadImm(insn.R1, 0x0123456789abcdef),
+		insn.Mov64Imm(insn.R0, 0),
+	}
+	for _, alu := range []uint8{insn.AluAdd, insn.AluSub, insn.AluAnd, insn.AluOr, insn.AluXor, insn.AluLsh, insn.AluRsh} {
+		prog = append(prog,
+			insn.Mov64Reg(insn.R2, insn.R1),
+			insn.Alu64Imm(alu, insn.R2, 13),
+			insn.Alu64Reg(insn.AluXor, insn.R0, insn.R2),
+			insn.Alu64Imm(insn.AluLsh, insn.R0, 1),
+		)
+	}
+	prog = append(prog,
+		insn.Mov64Reg(insn.R1, insn.R1),
+		insn.Alu64Imm(insn.AluRsh, insn.R1, 60),
+		insn.Alu64Reg(insn.AluAdd, insn.R0, insn.R1),
+		insn.Exit(),
+	)
+	interp, lowered := runBoth(t, prog, nil, 0)
+	assertSameResult(t, interp, lowered)
+	if lowered.Stats.Fused != 8 {
+		t.Fatalf("stats = %+v, want 8 fused mov+alu dispatches", lowered.Stats)
 	}
 }
 

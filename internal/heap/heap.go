@@ -398,6 +398,42 @@ func (v View) Store(addr uint64, n int, val uint64) error {
 	return nil
 }
 
+// FastPathOK reports whether the check-once accessors may serve h at all:
+// it is not closed and no fault plan is attached. With a plan attached
+// every access takes the full path, so injected faults fire at the same
+// sites in the same order whichever accessor the caller tried first.
+func (h *Heap) FastPathOK() bool {
+	return h.fault == nil && !h.closed.Load()
+}
+
+// FastLoad is the check-once form of View.Load for a naturally aligned
+// n-byte access (n ∈ {1,2,4,8}) at heap offset off; such an access lies
+// inside one word and one page. In one pass it makes every check the full
+// path makes — bounds (a guard-zone address fails off < size), the page's
+// mapped bit, the closed flag, no fault plan — plus alignment, then reads
+// the word with one atomic load. ok is false when any check fails; the
+// caller then takes View.Load, which repeats the checks and reports the
+// fault. On the zero Heap every access declines.
+func (h *Heap) FastLoad(off uint64, n int) (val uint64, ok bool) {
+	if off >= h.size || off&uint64(n-1) != 0 || !h.pages[off/PageSize].Load() || !h.FastPathOK() {
+		return 0, false
+	}
+	return atomic.LoadUint64(&h.words[off/8]) >> (off % 8 * 8) & (^uint64(0) >> (64 - uint(n)*8)), true
+}
+
+// FastStore is the check-once form of View.Store for an aligned 8-byte
+// store at heap offset off, under the same checks as FastLoad: one atomic
+// store of the word. Narrower stores merge into their word by
+// compare-and-swap, so they decline along with every failed check; ok
+// false means nothing was written and the caller takes View.Store.
+func (h *Heap) FastStore(off uint64, n int, val uint64) (ok bool) {
+	if n != 8 || off >= h.size || off%8 != 0 || !h.pages[off/PageSize].Load() || !h.FastPathOK() {
+		return false
+	}
+	atomic.StoreUint64(&h.words[off/8], val)
+	return true
+}
+
 // atomicWord validates an aligned n-byte (4 or 8) atomic access and returns
 // the containing word index and bit shift.
 func (v View) atomicWord(addr uint64, n int) (w uint64, shift uint64, f *Fault) {

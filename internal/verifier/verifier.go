@@ -195,6 +195,12 @@ func Verify(prog []insn.Instruction, vc Config) (*Analysis, error) {
 		if ins.Op.IsInternal() {
 			return nil, &Error{Insn: i, Msg: "internal opcode in input program"}
 		}
+		// Opcodes no tier can execute are rejected wherever they sit, as
+		// the kernel does before its walk: the walk never visits code on
+		// a branch it proves dead, yet that code still reaches lowering.
+		if !executable(ins.Op) {
+			return nil, &Error{Insn: i, Msg: fmt.Sprintf("unknown opcode %#02x", uint8(ins.Op))}
+		}
 	}
 	budget := vc.InsnBudget
 	if budget <= 0 {
@@ -645,6 +651,19 @@ func (v *verifier) step(idx int, st *state) ([]succState, error) {
 		}
 	}
 	return nil, &Error{Insn: idx, Msg: fmt.Sprintf("unknown opcode %#02x", uint8(ins.Op))}
+}
+
+// executable reports whether op has a meaning to the runtime: LD is only
+// the two-slot LDDW, and ALU ops stop at AluEnd (the ALU64 encodings above
+// it are Kie's internal opcodes).
+func executable(op insn.Opcode) bool {
+	switch op.Class() {
+	case insn.ClassLD:
+		return op == insn.LoadImm64
+	case insn.ClassALU, insn.ClassALU64:
+		return op.AluOp() <= insn.AluEnd
+	}
+	return true
 }
 
 func (v *verifier) fallthroughSucc(idx int, st *state) ([]succState, error) {

@@ -86,6 +86,27 @@ func TestUnreachableCodeRejected(t *testing.T) {
 	wantErr(t, err, "unreachable")
 }
 
+// TestUnknownOpcodeOnDeadBranchRejected places opcodes no tier executes
+// (legacy LD_ABS, an ALU32 op past AluEnd) on a branch the walk proves
+// dead: r0 is the constant 1, so the jump to them is never taken. They
+// must still be rejected, or the program loads on the interpreter and
+// fails to lower.
+func TestUnknownOpcodeOnDeadBranchRejected(t *testing.T) {
+	k := kernel.New()
+	for _, bad := range []insn.Opcode{insn.ClassLD | 0x20, insn.ClassALU | 0xe0} {
+		prog := asm.New().
+			MovImm(insn.R0, 1).
+			JmpImm(insn.JmpEq, insn.R0, 0, "dead").
+			Ret(0).
+			Label("dead").
+			I(insn.Instruction{Op: bad, Dst: insn.R0}).
+			Ret(1).
+			MustAssemble()
+		_, err := Verify(prog, ebpfCfg(k))
+		wantErr(t, err, "unknown opcode")
+	}
+}
+
 func TestInternalOpcodeRejected(t *testing.T) {
 	k := kernel.New()
 	prog := []insn.Instruction{insn.Guard(insn.R1), insn.Mov64Imm(insn.R0, 0), insn.Exit()}

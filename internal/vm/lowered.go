@@ -30,6 +30,7 @@ func (e *Exec) loopLowered() (uint64, error) {
 	// loop at link time; they live in locals for the whole invocation,
 	// the software analogue of the JIT pinning them in registers.
 	heapBase, heapMask, userBase := lp.HeapBase, lp.HeapMask, lp.UserBase
+	fast := e.fast
 	pc := int32(0)
 	for {
 		if pc < 0 || int(pc) >= len(code) {
@@ -292,12 +293,18 @@ func (e *Exec) loopLowered() (uint64, error) {
 			pc++
 
 		// --- Memory ---
+		// Heap accesses try the check-once accessor first and take the
+		// full checked path (e.load/e.store) for whatever it declines:
+		// misaligned or narrow stores, faults, non-heap memory.
 		case compile.OpLoad:
 			e.stats.Insns++
 			addr := regs[ins.Src] + ins.Imm
-			v, err := e.load(addr, int(ins.Size))
-			if err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			v, ok := fast.FastLoad(addr-heapBase, int(ins.Size))
+			if !ok {
+				var err error
+				if v, err = e.load(addr, int(ins.Size)); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			regs[ins.Dst] = v
 			pc++
@@ -310,16 +317,20 @@ func (e *Exec) loopLowered() (uint64, error) {
 				val = e.xlatVal
 				e.xlatArmed = false
 			}
-			if err := e.store(addr, int(ins.Size), val); err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			if !fast.FastStore(addr-heapBase, int(ins.Size), val) {
+				if err := e.store(addr, int(ins.Size), val); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			pc++
 
 		case compile.OpStoreImm:
 			e.stats.Insns++
 			addr := regs[ins.Dst] + uint64(int64(ins.Off))
-			if err := e.store(addr, int(ins.Size), ins.Imm); err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			if !fast.FastStore(addr-heapBase, int(ins.Size), ins.Imm) {
+				if err := e.store(addr, int(ins.Size), ins.Imm); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			pc++
 
@@ -414,9 +425,13 @@ func (e *Exec) loopLowered() (uint64, error) {
 			}
 			e.stats.Fused++
 			regs[ins.Src] = (regs[ins.Src] & heapMask) + heapBase
-			v, err := e.load(regs[ins.Src]+ins.Imm, int(ins.Size))
-			if err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			addr := regs[ins.Src] + ins.Imm
+			v, ok := fast.FastLoad(addr-heapBase, int(ins.Size))
+			if !ok {
+				var err error
+				if v, err = e.load(addr, int(ins.Size)); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			regs[ins.Dst] = v
 			pc++
@@ -431,8 +446,11 @@ func (e *Exec) loopLowered() (uint64, error) {
 				val = e.xlatVal
 				e.xlatArmed = false
 			}
-			if err := e.store(regs[ins.Dst]+ins.Imm, int(ins.Size), val); err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			addr := regs[ins.Dst] + ins.Imm
+			if !fast.FastStore(addr-heapBase, int(ins.Size), val) {
+				if err := e.store(addr, int(ins.Size), val); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			pc++
 
@@ -441,8 +459,11 @@ func (e *Exec) loopLowered() (uint64, error) {
 			e.stats.Guards++
 			e.stats.Fused++
 			regs[ins.Dst] = (regs[ins.Dst] & heapMask) + heapBase
-			if err := e.store(regs[ins.Dst]+uint64(int64(ins.Off)), int(ins.Size), ins.Imm); err != nil {
-				return 0, e.fault(int(ins.OrigPC), err)
+			addr := regs[ins.Dst] + uint64(int64(ins.Off))
+			if !fast.FastStore(addr-heapBase, int(ins.Size), ins.Imm) {
+				if err := e.store(addr, int(ins.Size), ins.Imm); err != nil {
+					return 0, e.fault(int(ins.OrigPC), err)
+				}
 			}
 			pc++
 
@@ -485,6 +506,42 @@ func (e *Exec) loopLowered() (uint64, error) {
 				pc++
 			}
 
+		case compile.OpMovAdd64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] + ins.Imm
+			pc++
+		case compile.OpMovSub64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] - ins.Imm
+			pc++
+		case compile.OpMovAnd64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] & ins.Imm
+			pc++
+		case compile.OpMovOr64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] | ins.Imm
+			pc++
+		case compile.OpMovXor64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] ^ ins.Imm
+			pc++
+		case compile.OpMovLsh64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] << ins.Imm
+			pc++
+		case compile.OpMovRsh64Imm:
+			e.stats.Insns += 2
+			e.stats.Fused++
+			regs[ins.Dst] = regs[ins.Src] >> ins.Imm
+			pc++
+
 		default:
 			return 0, fmt.Errorf("vm: lowered pc %d: unknown opcode %d", pc, uint8(ins.Op))
 		}
@@ -511,6 +568,11 @@ func (e *Exec) probeCheck(ins *compile.Insn) *ExtensionAbort {
 	}
 	if e.inject != nil && e.inject.Fire(faultinject.Terminate, uint64(uint32(ins.Off))) {
 		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}
+	}
+	// A live terminate word on an open, unfaulted heap passes on one
+	// comparison; anything else takes the interpreter's full load.
+	if term == e.termAddr && e.hasHeap && e.fast.FastPathOK() {
+		return nil
 	}
 	if _, err := e.extView.Load(term, 8); err != nil {
 		return &ExtensionAbort{Kind: CancelTerminate, PC: int(ins.OrigPC)}

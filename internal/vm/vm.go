@@ -90,7 +90,7 @@ type Stats struct {
 	// its own dispatch).
 	Dispatches uint64
 	// Fused counts dispatches that retired a fused superinstruction
-	// (guard+load, guard+store, probe+branch).
+	// (guard+load, guard+store, probe+branch, mov+ALU).
 	Fused uint64
 }
 
@@ -279,6 +279,13 @@ type Exec struct {
 
 	extView heap.View
 	hasHeap bool
+
+	// fast serves the lowered tier's check-once heap accesses: the
+	// program's heap, or an empty one on which every access declines to
+	// the full path. termAddr is the terminate word's address while the
+	// program is live, the value a passing probe compares against.
+	fast     *heap.Heap
+	termAddr uint64
 }
 
 // NewExec creates an execution context bound to simulated CPU cpu.
@@ -287,6 +294,10 @@ func (p *Program) NewExec(cpu int) *Exec {
 	if p.opts.Heap != nil {
 		e.extView = p.opts.Heap.ExtView()
 		e.hasHeap = true
+		e.fast = p.opts.Heap
+		e.termAddr = p.opts.Heap.ExtBase() + TerminateWordOff
+	} else {
+		e.fast = new(heap.Heap)
 	}
 	e.hc = kernel.HelperCtx{
 		Kernel: p.opts.Kernel,

@@ -1,10 +1,14 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"kflex/asm"
 	"kflex/insn"
+	"kflex/internal/compile"
+	"kflex/internal/faultinject"
 	"kflex/internal/heap"
 	"kflex/internal/kernel"
 	"kflex/internal/kie"
@@ -277,4 +281,128 @@ func TestCtxSizeValidation(t *testing.T) {
 	if _, err := p.NewExec(0).Run(nil, make([]byte, 3)); err == nil {
 		t.Fatal("wrong ctx size accepted")
 	}
+}
+
+// lowerProgram switches p to the lowered tier, compiled and linked the way
+// the runtime does it.
+func lowerProgram(t *testing.T, p *Program) {
+	t.Helper()
+	u, err := compile.Lower(&kie.Report{Prog: p.insns, CPs: p.cps}, compile.Config{PerfMode: p.opts.PerfMode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.opts.Heap
+	linked, err := u.Link(compile.Linkage{
+		HeapBase: h.ExtBase(), HeapMask: h.Mask(), UserBase: h.UserBase(),
+		Helpers: p.opts.Kernel.Helpers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.opts.Lowered = linked
+}
+
+// TestProbeAbortMatrix checks that the terminate probe, which passes on
+// one comparison while the program is live, still aborts with
+// CancelTerminate at the probe's PC on both tiers under every way a probe
+// can be made to fail: Cancel, Unload mid-run, a heap Close between runs,
+// a HeapGuard injection at the terminate word's offset, a caller
+// cancellation mid-run (the request Handle.RunContext's watchdog raises),
+// and quantum expiry.
+func TestProbeAbortMatrix(t *testing.T) {
+	// The loop counts ctx->a down to zero and touches no heap memory, so
+	// the probe on its back edge is the only heap access of a run.
+	prog := asm.New().
+		Load(insn.R7, insn.R1, 8, 8).
+		Label("loop").
+		I(insn.Alu64Imm(insn.AluSub, insn.R7, 1)).
+		JmpImm(insn.JmpNe, insn.R7, 0, "loop").
+		Ret(0).
+		MustAssemble()
+	const forever = ^uint64(0) // ctx->a for runs that loop until cancelled
+
+	// midRun performs act once e's invocation is in flight.
+	midRun := func(e *Exec, act func()) {
+		go func() {
+			for {
+				if _, running := e.RunningSinceNS(); running {
+					act()
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	cases := []struct {
+		name    string
+		mut     func(*Options)
+		a       uint64
+		prepare func(t *testing.T, p *Program, e *Exec)
+	}{
+		{name: "Cancel", a: 3, prepare: func(t *testing.T, p *Program, e *Exec) { p.Cancel() }},
+		{name: "Unload", a: forever, prepare: func(t *testing.T, p *Program, e *Exec) {
+			midRun(e, func() { p.Unload() })
+		}},
+		{name: "heap Close", a: 3, prepare: func(t *testing.T, p *Program, e *Exec) {
+			if res := runCtx(t, e, 3); res.Cancelled != CancelNone {
+				t.Fatalf("run before Close cancelled: %+v", res)
+			}
+			p.Heap().Close()
+		}},
+		{name: "HeapGuard at offset 0", a: 3, prepare: func(t *testing.T, p *Program, e *Exec) {
+			plan := faultinject.NewPlan(1).FailNth(faultinject.HeapGuard, TerminateWordOff, 1)
+			p.Heap().SetFaultPlan(plan)
+			plan.Enable()
+		}},
+		{name: "RunContext cancel", a: forever, prepare: func(t *testing.T, p *Program, e *Exec) {
+			midRun(e, e.RequestCancel)
+		}},
+		{name: "quantum", mut: func(o *Options) { o.QuantumInsns = 100 }, a: forever},
+	}
+	for _, c := range cases {
+		for _, lowered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/lowered=%v", c.name, lowered), func(t *testing.T) {
+				p := load(t, prog, 1<<16, func(o *Options) {
+					o.LocalCancel = true
+					if c.mut != nil {
+						c.mut(o)
+					}
+				})
+				if lowered {
+					lowerProgram(t, p)
+				}
+				probePC := -1
+				for pc, ins := range p.Insns() {
+					if ins.Op == insn.OpProbe {
+						probePC = pc
+					}
+				}
+				if probePC < 0 {
+					t.Fatal("no probe planted on the loop's back edge")
+				}
+				e := p.NewExec(0)
+				if c.prepare != nil {
+					c.prepare(t, p, e)
+				}
+				res := runCtx(t, e, c.a)
+				if res.Cancelled != CancelTerminate || res.Abort == nil || res.Abort.PC != probePC {
+					t.Fatalf("result %+v (abort %+v), want CancelTerminate at the probe, pc %d", res, res.Abort, probePC)
+				}
+			})
+		}
+	}
+}
+
+// runCtx runs e with ctx->a = a.
+func runCtx(t *testing.T, e *Exec, a uint64) Result {
+	t.Helper()
+	ctx := make([]byte, kernel.HookBench.CtxSize)
+	for i := 0; i < 8; i++ {
+		ctx[8+i] = byte(a >> (8 * i))
+	}
+	res, err := e.Run(nil, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
